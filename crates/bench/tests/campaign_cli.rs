@@ -95,9 +95,9 @@ fn metrics_out_from_two_worker_cluster_carries_fleet_health() {
             "--schemes",
             "baseline,qismet",
             "--iterations",
-            "25",
+            "200",
             "--trials",
-            "2",
+            "4",
             "--workers",
             "2",
             "--heartbeat",
@@ -133,14 +133,14 @@ fn metrics_out_from_two_worker_cluster_carries_fleet_health() {
     let counters = metrics.get("counters").expect("counters object");
     assert_eq!(
         counters.get("cluster.specs_done").and_then(|v| v.as_u64()),
-        Some(4),
+        Some(8),
         "counters: {counters:?}"
     );
     assert_eq!(
         counters
             .get("cluster.specs_assigned")
             .and_then(|v| v.as_u64()),
-        Some(4)
+        Some(8)
     );
     let fleet = metrics
         .get("fleet")
@@ -150,8 +150,11 @@ fn metrics_out_from_two_worker_cluster_carries_fleet_health() {
     for slot in fleet {
         assert!(slot.get("done").and_then(|v| v.as_u64()).unwrap() > 0);
         assert_eq!(slot.get("respawns").and_then(|v| v.as_u64()), Some(0));
-        // The 20ms heartbeat guarantees pings (and matched RTT samples)
-        // on runs this size.
+        // The 20ms heartbeat guarantees pings on runs this size. RTT
+        // samples ride on the *next* `Done`, so a slot reports them only
+        // if it serves a batch after one that pinged: eight specs long
+        // enough to outlast the first-build jitter between the workers
+        // give every slot at least two batches.
         assert!(slot.get("pings").and_then(|v| v.as_u64()).unwrap() > 0);
         assert!(
             slot.get("heartbeat_rtt_ns_mean")

@@ -213,22 +213,26 @@ impl<'a> Engine<'a> {
     }
 
     /// Moves a job to a terminal phase exactly once per id and maintains
-    /// the lifetime tallies; `open_jobs` entry (if any) is removed.
+    /// the lifetime tallies; `open_jobs` entry (if any) is removed. The
+    /// tallies move under the queue lock, so a drain that sees every job
+    /// terminal also sees every tally.
     fn conclude(&self, id: u64, phase: JobPhase, detail: String) {
         let transitioned = {
             let mut queue = self.queue.lock().expect("queue mutex poisoned");
-            queue.set_phase(id, phase, Some(detail.clone())).is_ok()
+            let transitioned = queue.set_phase(id, phase, Some(detail.clone())).is_ok();
+            if transitioned {
+                let tally = match phase {
+                    JobPhase::Completed => &self.jobs_completed,
+                    _ => &self.jobs_failed,
+                };
+                tally.fetch_add(1, Ordering::Relaxed);
+            }
+            transitioned
         };
         if transitioned {
             match phase {
-                JobPhase::Completed => {
-                    self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                    counter!("service.jobs_completed").inc();
-                }
-                _ => {
-                    self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                    counter!("service.jobs_failed").inc();
-                }
+                JobPhase::Completed => counter!("service.jobs_completed").inc(),
+                _ => counter!("service.jobs_failed").inc(),
             }
             event("job", format!("job {id} -> {}: {detail}", phase.name()));
         }
@@ -456,14 +460,20 @@ impl<'a> Engine<'a> {
     /// Accepts one result: journal first (durability before visibility),
     /// then the in-memory record set; settles the job when it was the
     /// last index.
+    ///
+    /// The results lock is held from marking the index complete until its
+    /// record is pushed, so a settle (which reads the records under the
+    /// same lock) never sees a completed index without its record — even
+    /// when the job's last two results land at once on two sessions.
     fn on_record(&self, slot: u64, run: &Arc<JobRun>, index: usize, seed: u64, record: Value) {
+        let mut results = run.results.lock().expect("results mutex poisoned");
         if !run.dispatch.complete(index) {
             // A twin finished first (re-dispatched suspect that was still
             // live elsewhere): byte-identical by construction, drop it.
             fleet_update(slot, |s| s.duplicates_lost += 1);
             return;
         }
-        let mut entry = CheckpointEntry {
+        let entry = CheckpointEntry {
             fingerprint: run.spec.fingerprint,
             index,
             seed,
@@ -478,18 +488,18 @@ impl<'a> Engine<'a> {
         };
         if let Err(detail) = journaled {
             // Durability lost: completing more work that can never be
-            // resumed helps nobody — fail the job, keep the fleet.
+            // resumed helps nobody — fail the job, keep the fleet. Failed
+            // before the results lock is released, so no settle can claim
+            // the job with this index's record missing.
             self.fail_job(run, format!("journal append failed: {detail}"));
             return;
         }
+        results.push((index, entry.record));
+        drop(results);
         fleet_update(slot, |s| s.done += 1);
         counter!("cluster.specs_done").inc();
         counter!("service.records").inc();
         self.registry.record_done(slot);
-        run.results
-            .lock()
-            .expect("results mutex poisoned")
-            .push((index, std::mem::replace(&mut entry.record, Value::Null)));
         if run.dispatch.is_finished() {
             self.settle_job(run);
         }
@@ -497,7 +507,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Hands a lost session's outstanding work back to its job's dispatch
-    /// queue and surfaces the loss detail.
+    /// queue and surfaces the loss detail. A loss that poisons the job's
+    /// last unsettled spec finishes its dispatch, so it settles the job.
     fn lose_batch(
         &self,
         run: &Arc<JobRun>,
@@ -506,6 +517,9 @@ impl<'a> Engine<'a> {
         detail: String,
     ) -> Result<(), String> {
         run.dispatch.settle_loss(outstanding, was_suspect);
+        if run.dispatch.is_finished() {
+            self.settle_job(run);
+        }
         self.notify();
         Err(detail)
     }
@@ -804,11 +818,14 @@ impl<'a> Engine<'a> {
                 let scope = if fleet { None } else { Some(tenant) };
                 let cancelled = {
                     let mut queue = self.queue.lock().expect("queue mutex poisoned");
-                    queue.cancel(cancel.job_id, scope)
+                    let cancelled = queue.cancel(cancel.job_id, scope);
+                    if cancelled.is_ok() {
+                        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    cancelled
                 };
                 match cancelled {
                     Ok(()) => {
-                        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
                         if let Some(run) = self
                             .open_jobs
                             .lock()

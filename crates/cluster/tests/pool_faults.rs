@@ -44,6 +44,9 @@ enum Script {
     Solid,
     /// Serve normally, but sleep this long before each result (straggler).
     SlowSolid(Duration),
+    /// Serve normally, but hold every result until the pool has handed
+    /// out this many assignments across all sessions.
+    SolidAfterAssigns(usize),
     /// Send this many heartbeat pings before each result (slow, alive).
     PingThenSolid(usize),
     /// Serve `n` results, then fail the channel on the next read.
@@ -67,6 +70,8 @@ struct PoolLog {
     pongs: AtomicUsize,
     /// Results produced across all sessions (counts speculative twins).
     dones: AtomicUsize,
+    /// `Assign` frames the coordinator sent across all sessions.
+    assigns: AtomicUsize,
 }
 
 struct ScriptedTransport {
@@ -89,7 +94,10 @@ impl Transport for ScriptedTransport {
                 self.hello = Some(h.clone());
                 self.greeted = true;
             }
-            Message::Assign(Assign { indices }) => self.pending.extend(indices.iter().copied()),
+            Message::Assign(Assign { indices }) => {
+                self.log.assigns.fetch_add(1, Ordering::SeqCst);
+                self.pending.extend(indices.iter().copied());
+            }
             Message::Pong => {
                 self.log.pongs.fetch_add(1, Ordering::SeqCst);
             }
@@ -138,6 +146,13 @@ impl Transport for ScriptedTransport {
                 ));
             }
             Script::SlowSolid(pause) => std::thread::sleep(pause),
+            Script::SolidAfterAssigns(n) => {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while self.log.assigns.load(Ordering::SeqCst) < n {
+                    assert!(Instant::now() < deadline, "never saw {n} assignments");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
             Script::PingThenSolid(n) => {
                 if self.pings_left > 0 {
                     self.pings_left -= 1;
@@ -417,9 +432,11 @@ fn a_spec_that_keeps_killing_workers_is_poisoned_and_reported() {
 #[test]
 fn speculation_duplicates_a_straggler_and_dedups_first_result_wins() {
     let log = Arc::new(PoolLog::default());
+    // The fast slot holds its results until both slots hold a spec, so it
+    // cannot drain the queue before the straggler has one in flight.
     let pool = WorkerPool::new(vec![
         ScriptedConnector::slot(&[Script::SlowSolid(Duration::from_millis(500))], 1, &log),
-        ScriptedConnector::slot(&[Script::Solid], 1, &log),
+        ScriptedConnector::slot(&[Script::SolidAfterAssigns(2)], 1, &log),
     ])
     .with_speculative(true);
     let (result, sunk) = run_pool(&pool, 4);
@@ -895,9 +912,11 @@ fn elastic_fleet_serves_two_tenants_and_settles_reference_identical_reports() {
     assert_eq!(alice_view.jobs[0].job_id, job_a);
     assert_eq!(alice_view.jobs[0].tenant, "alice");
     assert_eq!(status(&harness, "fleet").jobs.len(), 2);
-    // Elastic fleet: one steady worker, one that leaves after two batches,
-    // one that joins late — all while both jobs are in flight.
-    let steady = fleet_worker(&harness, "steady", "fleet", 2, FleetScript::Serve);
+    // Elastic fleet: one worker that leaves after two batches, then one
+    // steady worker and one that joins late — all while both jobs are in
+    // flight. The leaver serves its two batches (four of the 21 specs)
+    // before the others register: toy specs finish instantly, so a
+    // steady worker running beside it could drain both jobs first.
     let transient = fleet_worker(
         &harness,
         "transient",
@@ -905,15 +924,16 @@ fn elastic_fleet_serves_two_tenants_and_settles_reference_identical_reports() {
         2,
         FleetScript::DeregisterAfter(2),
     );
+    assert_eq!(
+        transient.join().expect("transient exits").expect("served"),
+        2
+    );
+    let steady = fleet_worker(&harness, "steady", "fleet", 2, FleetScript::Serve);
     std::thread::sleep(Duration::from_millis(50));
     let late = fleet_worker(&harness, "late", "fleet", 3, FleetScript::Serve);
     let drained = drain(&harness, "fleet");
     assert_eq!(drained.jobs_completed, 2);
     assert_eq!(drained.jobs_failed, 0);
-    assert_eq!(
-        transient.join().expect("transient exits").expect("served"),
-        2
-    );
     steady.join().expect("steady exits").expect("served");
     late.join().expect("late exits").expect("served");
     let finals = harness.finals();
@@ -947,14 +967,20 @@ fn voluntary_deregister_takes_no_strike_and_the_name_can_rejoin() {
     // Same name registers again — no strike accrued, so it must be let in —
     // and finishes the job alongside nobody else.
     let rejoined = fleet_worker(&harness, "polite", "fleet", 2, FleetScript::Serve);
+    // Strikes are read before the drain: a drained daemon stops serving
+    // status requests.
+    wait_until(
+        || status(&harness, "fleet").jobs[0].phase == "completed",
+        "the rejoined worker to finish the job",
+    );
+    let strikes: usize = status_strikes(&harness);
+    assert_eq!(strikes, 0, "voluntary deregistration must not be blamed");
     let drained = drain(&harness, "fleet");
     assert_eq!(drained.jobs_completed, 1);
     rejoined
         .join()
         .expect("exits")
         .expect("accepted and served");
-    let strikes: usize = status_strikes(&harness);
-    assert_eq!(strikes, 0, "voluntary deregistration must not be blamed");
     let finals = harness.finals();
     assert_eq!(finals, vec![(job, reference_detail("gamma:6"))]);
     harness.finish();
@@ -1080,4 +1106,85 @@ fn nonsense_pool_configuration_is_rejected_before_any_session() {
         );
         assert!(sunk.is_empty(), "validation must run before any dispatch");
     }
+}
+
+#[test]
+fn concurrent_last_results_never_settle_a_job_early() {
+    // Each two-spec job is served by two single-thread workers, one spec
+    // each, so the job's last two results routinely land at once on two
+    // sessions. Whichever settles the job must see both records: a settle
+    // that raced ahead of the other record would finalize with one missing
+    // (a real campaign planner then fails the job with "no result for
+    // expected index"). Journaling to a state dir widens the window
+    // between accepting a result and recording it.
+    const JOBS: usize = 40;
+    let state_dir = std::env::temp_dir().join(format!("qismet-settle-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let mut config = service_config();
+    config.state_dir = Some(state_dir.clone());
+    let harness = ServiceHarness::start(config);
+    // Descending priority: both workers claim the same (highest) job.
+    let payloads: Vec<String> = (0..JOBS).map(|k| format!("race{k}:2")).collect();
+    let ids: Vec<u64> = payloads
+        .iter()
+        .enumerate()
+        .map(|(k, payload)| {
+            submit(&harness, "a-token", payload, (JOBS - k) as i64, payload)
+                .expect("submit accepted")
+        })
+        .collect();
+    let workers: Vec<_> = ["left", "right"]
+        .into_iter()
+        .map(|name| fleet_worker(&harness, name, "fleet", 1, FleetScript::Serve))
+        .collect();
+    let drained = drain(&harness, "fleet");
+    for worker in workers {
+        worker.join().expect("worker exits").expect("served");
+    }
+    let finals = harness.finals();
+    harness.finish();
+    let _ = std::fs::remove_dir_all(&state_dir);
+    assert_eq!(drained.jobs_failed, 0);
+    assert_eq!(drained.jobs_completed, JOBS);
+    let by_id: std::collections::BTreeMap<u64, String> = finals.into_iter().collect();
+    for (id, payload) in ids.iter().zip(&payloads) {
+        assert_eq!(by_id[id], reference_detail(payload), "job {id}");
+    }
+}
+
+#[test]
+fn a_job_whose_last_spec_is_poisoned_still_settles() {
+    // One spec, poisoned on its first precise strike: the crash that
+    // poisons it is the event that finishes the job's dispatch, so the
+    // loss path itself must settle the job (as failed) or drain never
+    // returns.
+    let mut config = service_config();
+    config.poison_after = 1;
+    let harness = ServiceHarness::start(config);
+    submit(&harness, "a-token", "zeta", 0, "zeta:1").expect("submit accepted");
+    // First crash: an unattributed loss re-queues the spec as a suspect.
+    // Second crash, on the suspect singleton: the precise strike poisons.
+    for _ in 0..2 {
+        fleet_worker(
+            &harness,
+            "crashy",
+            "fleet",
+            1,
+            FleetScript::DieAfterResults(0),
+        )
+        .join()
+        .expect("exits")
+        .expect("registered");
+    }
+    // Bounded wait first, so a job that never settles fails the test
+    // instead of hanging the drain below.
+    wait_until(
+        || status(&harness, "fleet").jobs[0].phase == "failed",
+        "the poisoned job to settle as failed",
+    );
+    let drained = drain(&harness, "fleet");
+    assert_eq!(drained.jobs_completed, 0);
+    assert_eq!(drained.jobs_failed, 1);
+    assert!(harness.finals().is_empty(), "nothing to finalize");
+    harness.finish();
 }

@@ -3,11 +3,16 @@
 //! Everything above this crate evaluates circuits through the [`Backend`]
 //! trait instead of constructing simulators directly, which gives the
 //! workspace one seam for every execution strategy: the straightforward
-//! statevector path, the buffer-reusing cached path, multi-threaded batch
-//! fan-out (the `parallel` feature), and — in future PRs — sharded or
-//! remote executors. QISMET's job structure (paper Fig. 7) maps naturally
-//! onto [`Backend::evaluate_batch`]: every circuit of one quantum job is
-//! handed to the engine as a single batch.
+//! statevector path, the buffer-reusing cached path, and the lane-batched
+//! plan path. QISMET's job structure (paper Fig. 7) maps naturally onto
+//! [`Backend::evaluate_batch`]: every circuit of one quantum job is handed
+//! to the engine as a single batch.
+//!
+//! A batch runs on the calling thread. Batches of a VQA run are small (a
+//! few points per iteration), so the unit of thread parallelism is the run:
+//! campaign executors run whole runs on separate threads, each with its own
+//! backend. The only threading below that is the opt-in in-state schedule
+//! ([`CachedStatevectorBackend::with_inner_threads`]) for wide states.
 //!
 //! Both statevector backends execute through compiled plans
 //! ([`crate::CompiledCircuit`] / [`crate::CompiledObservable`]): each keeps
@@ -60,8 +65,8 @@ pub trait Backend: Send {
     /// Evaluates a batch of circuits against one observable, in order.
     ///
     /// The default implementation loops over [`Backend::evaluate`];
-    /// implementations may override it to amortize setup or fan out across
-    /// threads, but the results must stay bitwise identical to the loop.
+    /// implementations may override it to amortize setup, but the results
+    /// must stay bitwise identical to the loop.
     ///
     /// # Errors
     ///
@@ -226,27 +231,6 @@ impl Backend for StatevectorBackend {
         self.cache.plans[p].run_expectation(&mut sv, &self.cache.observables[o].1)
     }
 
-    #[cfg(feature = "parallel")]
-    fn evaluate_batch(
-        &mut self,
-        circuits: &[Circuit],
-        observable: &PauliSum,
-    ) -> Result<Vec<f64>, GateError> {
-        parallel_batch(circuits, observable, 1)
-    }
-
-    #[cfg(feature = "parallel")]
-    fn evaluate_plan_batch(
-        &mut self,
-        plan: &mut CompiledCircuit,
-        points: &[Vec<f64>],
-        observable: &CompiledObservable,
-    ) -> Result<Vec<f64>, GateError> {
-        let mut batch = BatchScratch::default();
-        parallel_plan_batch(plan, points, observable, &mut batch, 1)
-    }
-
-    #[cfg(not(feature = "parallel"))]
     fn evaluate_plan_batch(
         &mut self,
         plan: &mut CompiledCircuit,
@@ -361,7 +345,7 @@ fn scratch_for(slot: &mut Option<StateVector>, n_qubits: usize) -> &mut StateVec
 }
 
 /// Cached lane-batch bindings and states, one slot per lane width (at most
-/// the full- and half-width slots in practice): [`lane_batch_into`] rebinds
+/// the full- and half-width slots in practice): [`lane_batch_eval`] rebinds
 /// a cached [`BatchedCircuit`] in place across evaluation batches instead
 /// of reallocating its per-lane storage per chunk, falling back to a fresh
 /// bind when the plan structure changed (see [`BatchedCircuit::matches`]).
@@ -408,23 +392,21 @@ impl BatchScratch {
     }
 }
 
-/// Evaluates a run of plan points through the lane-batched engine into
-/// per-point result slots: greedy full-width ([`MAX_LANES`]) chunks, then
-/// one half-width chunk, then a scalar remainder. Wide states (above
+/// The [`Backend::evaluate_plan_batch`] body of both statevector backends:
+/// greedy full-width ([`MAX_LANES`]) lane-batched chunks, then one
+/// half-width chunk, then a scalar remainder. Wide states (above
 /// [`LANE_BATCH_MAX_QUBITS`], where the in-state schedule wins) and chunks
 /// that fail to bind (preserving per-point error attribution) take the
 /// scalar loop instead. Per-lane arithmetic is the exact scalar path, so
 /// every grouping is bitwise identical to the sequential loop.
-fn lane_batch_into(
+fn lane_batch_eval(
     plan: &mut CompiledCircuit,
     points: &[Vec<f64>],
     observable: &CompiledObservable,
     scratch: &mut Option<StateVector>,
     batch: &mut BatchScratch,
     inner_threads: usize,
-    out: &mut [Result<f64, GateError>],
-) {
-    debug_assert_eq!(points.len(), out.len());
+) -> Result<Vec<f64>, GateError> {
     qismet_telemetry::counter!("qsim.batch.points").add(points.len() as u64);
     // Every batched point evaluates a plan compiled earlier: plan reuse.
     qismet_telemetry::counter!("qsim.plan_cache.hits").add(points.len() as u64);
@@ -440,8 +422,9 @@ fn lane_batch_into(
         let sv = scratch_for(scratch, plan.n_qubits());
         execute(plan, observable, sv, inner_threads)
     }
-    let mut i = 0usize;
-    while i < points.len() {
+    let mut out = Vec::with_capacity(points.len());
+    while out.len() < points.len() {
+        let i = out.len();
         let rem = points.len() - i;
         let lanes = if n > LANE_BATCH_MAX_QUBITS {
             1
@@ -454,8 +437,13 @@ fn lane_batch_into(
         };
         if lanes == 1 {
             qismet_telemetry::counter!("qsim.batch.chunks_lane1").inc();
-            out[i] = scalar(plan, &points[i], observable, scratch, inner_threads);
-            i += 1;
+            out.push(scalar(
+                plan,
+                &points[i],
+                observable,
+                scratch,
+                inner_threads,
+            )?);
             continue;
         }
         if lanes == MAX_LANES {
@@ -469,42 +457,16 @@ fn lane_batch_into(
                 record_op_classes(plan, lanes as u64);
                 let mut vals = [0.0f64; MAX_LANES];
                 batched.run_expectation_only(bsv, observable, &mut vals);
-                for (slot, v) in out[i..i + lanes].iter_mut().zip(vals) {
-                    *slot = Ok(v);
-                }
+                out.extend_from_slice(&vals[..lanes]);
             }
             Err(_) => {
-                for (k, p) in chunk.iter().enumerate() {
-                    out[i + k] = scalar(plan, p, observable, scratch, inner_threads);
+                for p in chunk {
+                    out.push(scalar(plan, p, observable, scratch, inner_threads)?);
                 }
             }
         }
-        i += lanes;
     }
-}
-
-/// Lane-batched [`Backend::evaluate_plan_batch`] body shared by both
-/// statevector backends (and, under `parallel`, by each fan-out worker's
-/// chunk): bitwise identical to the sequential per-point loop.
-fn lane_batch_eval(
-    plan: &mut CompiledCircuit,
-    points: &[Vec<f64>],
-    observable: &CompiledObservable,
-    scratch: &mut Option<StateVector>,
-    batch: &mut BatchScratch,
-    inner_threads: usize,
-) -> Result<Vec<f64>, GateError> {
-    let mut out: Vec<Result<f64, GateError>> = vec![Ok(0.0); points.len()];
-    lane_batch_into(
-        plan,
-        points,
-        observable,
-        scratch,
-        batch,
-        inner_threads,
-        &mut out,
-    );
-    out.into_iter().collect()
+    Ok(out)
 }
 
 impl Backend for CachedStatevectorBackend {
@@ -520,15 +482,6 @@ impl Backend for CachedStatevectorBackend {
         )
     }
 
-    #[cfg(feature = "parallel")]
-    fn evaluate_batch(
-        &mut self,
-        circuits: &[Circuit],
-        observable: &PauliSum,
-    ) -> Result<Vec<f64>, GateError> {
-        parallel_batch(circuits, observable, self.inner_threads)
-    }
-
     fn evaluate_plan(
         &mut self,
         plan: &mut CompiledCircuit,
@@ -542,23 +495,6 @@ impl Backend for CachedStatevectorBackend {
         execute(plan, observable, scratch, self.inner_threads)
     }
 
-    #[cfg(feature = "parallel")]
-    fn evaluate_plan_batch(
-        &mut self,
-        plan: &mut CompiledCircuit,
-        points: &[Vec<f64>],
-        observable: &CompiledObservable,
-    ) -> Result<Vec<f64>, GateError> {
-        parallel_plan_batch(
-            plan,
-            points,
-            observable,
-            &mut self.batch,
-            self.inner_threads,
-        )
-    }
-
-    #[cfg(not(feature = "parallel"))]
     fn evaluate_plan_batch(
         &mut self,
         plan: &mut CompiledCircuit,
@@ -707,103 +643,6 @@ impl BackendPool {
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
-}
-
-/// Host thread count for batch fan-out, resolved once per process.
-/// `std::thread::available_parallelism` re-reads cgroup limits on every
-/// call on Linux (file opens + parsing, >10us inside a container) — far
-/// more than a small lane-batched evaluation, so the per-call lookup was
-/// dominating `evaluate_plan_batch` on small states.
-#[cfg(feature = "parallel")]
-fn host_parallelism() -> usize {
-    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HOST.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Evaluates a batch across threads with `std::thread::scope`, one cached
-/// scratch state per worker. Results are written back by index, so the
-/// output order (and, since evaluations are independent, every bit of
-/// every result) matches the sequential loop.
-///
-/// The vendored dependency set has no `rayon`; scoped threads give the
-/// same fan-out with the standard library only.
-#[cfg(feature = "parallel")]
-fn parallel_batch(
-    circuits: &[Circuit],
-    observable: &PauliSum,
-    inner_threads: usize,
-) -> Result<Vec<f64>, GateError> {
-    let workers = host_parallelism().min(circuits.len().max(1));
-    if workers <= 1 || circuits.len() < 2 {
-        let mut backend = CachedStatevectorBackend::with_inner_threads(inner_threads);
-        return circuits
-            .iter()
-            .map(|c| backend.evaluate(c, observable))
-            .collect();
-    }
-    let mut results: Vec<Result<f64, GateError>> = vec![Ok(0.0); circuits.len()];
-    // Contiguous chunking: each worker owns one run of the result slice.
-    let chunk = circuits.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, out) in results.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            scope.spawn(move || {
-                let mut backend = CachedStatevectorBackend::with_inner_threads(inner_threads);
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = backend.evaluate(&circuits[start + i], observable);
-                }
-            });
-        }
-    });
-    results.into_iter().collect()
-}
-
-/// Plan-batch fan-out: each worker clones the plan (one allocation per
-/// worker per batch, not per point) and runs its contiguous chunk of
-/// points through the lane-batched engine. Per-point arithmetic is
-/// independent of the scratch, of binding order, and of lane grouping, so
-/// results are bitwise identical to the sequential loop at any worker
-/// count.
-#[cfg(feature = "parallel")]
-fn parallel_plan_batch(
-    plan: &mut CompiledCircuit,
-    points: &[Vec<f64>],
-    observable: &CompiledObservable,
-    batch: &mut BatchScratch,
-    inner_threads: usize,
-) -> Result<Vec<f64>, GateError> {
-    let workers = host_parallelism().min(points.len().max(1));
-    if workers <= 1 || points.len() < 2 {
-        let mut scratch = None;
-        return lane_batch_eval(plan, points, observable, &mut scratch, batch, inner_threads);
-    }
-    let mut results: Vec<Result<f64, GateError>> = vec![Ok(0.0); points.len()];
-    let chunk = points.len().div_ceil(workers);
-    let template: &CompiledCircuit = plan;
-    std::thread::scope(|scope| {
-        for (w, out) in results.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            scope.spawn(move || {
-                let mut local = template.clone();
-                let mut scratch = None;
-                let mut local_batch = BatchScratch::default();
-                lane_batch_into(
-                    &mut local,
-                    &points[start..start + out.len()],
-                    observable,
-                    &mut scratch,
-                    &mut local_batch,
-                    inner_threads,
-                    out,
-                );
-            });
-        }
-    });
-    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1171,6 +1010,39 @@ mod tests {
         assert_eq!(pool.inner_threads(), 4);
         let via_pool = pool.backend_for(16).evaluate(&c, &h).unwrap();
         assert_eq!(a.to_bits(), via_pool.to_bits());
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn inner_threads_plan_batch_matches_sequential_singles() {
+        // Above the lane-batch width every point takes the scalar path,
+        // which honors the in-state schedule: the batch must still equal a
+        // sequential loop of single evaluations bit for bit.
+        use crate::gate::Param;
+        let n = LANE_BATCH_MAX_QUBITS + 2;
+        let obs = CompiledObservable::compile(&observable(n));
+        let mut ansatz = Circuit::new(n);
+        for q in 0..n {
+            ansatz.ry(Param::Free(q), q);
+        }
+        for q in 0..n - 1 {
+            ansatz.cx(q, q + 1);
+        }
+        let points: Vec<Vec<f64>> = (0..3)
+            .map(|p| (0..n).map(|q| 0.1 * (p * n + q) as f64).collect())
+            .collect();
+        let mut plan = CompiledCircuit::compile(&ansatz);
+        let mut sequential = CachedStatevectorBackend::new();
+        let singles: Vec<f64> = points
+            .iter()
+            .map(|p| sequential.evaluate_plan(&mut plan, p, &obs).unwrap())
+            .collect();
+        let batch = CachedStatevectorBackend::with_inner_threads(2)
+            .evaluate_plan_batch(&mut plan, &points, &obs)
+            .unwrap();
+        for (i, (a, b)) in singles.iter().zip(&batch).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "point {i}");
+        }
     }
 
     #[test]

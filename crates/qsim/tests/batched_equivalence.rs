@@ -199,7 +199,7 @@ proptest! {
     }
 
     // The backend seam: evaluate_plan_batch (greedy 8/4/scalar lane
-    // chunking, and the thread fan-out under the parallel feature) agrees
+    // chunking, one code path with or without the parallel feature) agrees
     // bitwise with a loop of evaluate_plan calls at any point count.
     #[test]
     fn backend_plan_batch_matches_singles_bitwise(

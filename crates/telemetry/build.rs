@@ -3,6 +3,7 @@
 //! degrades to a fixed placeholder when the information is unavailable
 //! (no `.git` directory, no `git` binary), keeping offline builds green.
 
+use std::path::Path;
 use std::process::Command;
 
 fn git_hash() -> String {
@@ -16,10 +17,15 @@ fn git_hash() -> String {
 }
 
 fn main() {
-    // Re-stamp when the checked-out commit moves. The paths may not exist
-    // (e.g. a source tarball); cargo treats missing rerun paths as benign.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
-    println!("cargo:rerun-if-changed=../../.git/refs");
+    // Re-stamp when the checked-out commit moves. Only existing paths are
+    // watched: cargo treats a missing rerun path as changed and would rerun
+    // this script (and rebuild every dependent crate) on every build of a
+    // checkout without `.git`, such as a source tarball.
+    for path in ["../../.git/HEAD", "../../.git/refs"] {
+        if Path::new(path).exists() {
+            println!("cargo:rerun-if-changed={path}");
+        }
+    }
     println!("cargo:rustc-env=QISMET_GIT_HASH={}", git_hash());
     // The enabled target features for this compilation (e.g. from
     // `-C target-cpu=native`), recorded so archived benchmark artifacts say
