@@ -6,7 +6,13 @@
 //! (99p / 90p / 75p). The calibrator keeps an online history of |Tm|
 //! estimates and exposes the configured percentile as the controller's
 //! threshold.
+//!
+//! The history is a [`SortedWindow`] of the last 4096 |Tm| values, so one
+//! decision costs a binary search plus a memmove of at most that many
+//! values, and each percentile read is O(1), not a copy and sort of the
+//! history.
 
+use qismet_mathkit::SortedWindow;
 use serde::{Deserialize, Serialize};
 
 /// Skip-rate presets from the paper's evaluation.
@@ -51,9 +57,8 @@ impl SkipTarget {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdCalibrator {
     target: SkipTarget,
-    history: Vec<f64>,
+    history: SortedWindow,
     warmup: usize,
-    capacity: usize,
     adaptive: Option<f64>,
 }
 
@@ -63,9 +68,8 @@ impl ThresholdCalibrator {
     pub fn new(target: SkipTarget, warmup: usize) -> Self {
         ThresholdCalibrator {
             target,
-            history: Vec::new(),
+            history: SortedWindow::new(4096),
             warmup: warmup.max(2),
-            capacity: 4096,
             adaptive: None,
         }
     }
@@ -83,9 +87,6 @@ impl ThresholdCalibrator {
     /// Records one |Tm| observation.
     pub fn observe(&mut self, tm: f64) {
         self.history.push(tm.abs());
-        if self.history.len() > self.capacity {
-            self.history.remove(0);
-        }
     }
 
     /// Feeds back the controller's decision for the current attempt so the
@@ -96,7 +97,7 @@ impl ThresholdCalibrator {
         };
         let target = self.target_fraction();
         // Quantile-tracking step: scale relative to the |Tm| spread.
-        let scale = qismet_mathkit::percentile(&self.history, 75.0).max(1e-9);
+        let scale = self.history.percentile(75.0).max(1e-9);
         let eta = 0.05 * scale;
         let next = if skipped {
             thr + eta * (1.0 - target)
@@ -112,10 +113,7 @@ impl ThresholdCalibrator {
         }
         if self.adaptive.is_none() {
             // Seed from the |Tm| percentile the paper names (99p/90p/75p).
-            self.adaptive = Some(qismet_mathkit::percentile(
-                &self.history,
-                self.target.percentile(),
-            ));
+            self.adaptive = Some(self.history.percentile(self.target.percentile()));
         }
         self.adaptive
     }
@@ -229,6 +227,99 @@ mod tests {
         let _ = c.threshold();
         let c = ThresholdCalibrator::new(SkipTarget::Aggressive, 2);
         assert!((c.target_fraction() - 0.25).abs() < 1e-12);
+    }
+
+    /// The calibrator as it was before the sorted window: a `Vec` history,
+    /// `remove(0)` eviction and a clone-and-sort percentile per read.
+    struct NaiveCalibrator {
+        target: SkipTarget,
+        history: Vec<f64>,
+        warmup: usize,
+        adaptive: Option<f64>,
+    }
+
+    impl NaiveCalibrator {
+        fn new(target: SkipTarget, warmup: usize) -> Self {
+            NaiveCalibrator {
+                target,
+                history: Vec::new(),
+                warmup: warmup.max(2),
+                adaptive: None,
+            }
+        }
+
+        fn observe(&mut self, tm: f64) {
+            self.history.push(tm.abs());
+            if self.history.len() > 4096 {
+                self.history.remove(0);
+            }
+        }
+
+        fn record_decision(&mut self, skipped: bool) {
+            let Some(thr) = self.adaptive_threshold() else {
+                return;
+            };
+            let target = 1.0 - self.target.percentile() / 100.0;
+            let scale = qismet_mathkit::percentile(&self.history, 75.0).max(1e-9);
+            let eta = 0.05 * scale;
+            let next = if skipped {
+                thr + eta * (1.0 - target)
+            } else {
+                thr - eta * target
+            };
+            self.adaptive = Some(next.max(0.0));
+        }
+
+        fn adaptive_threshold(&mut self) -> Option<f64> {
+            if self.history.len() < self.warmup {
+                return None;
+            }
+            if self.adaptive.is_none() {
+                self.adaptive = Some(qismet_mathkit::percentile(
+                    &self.history,
+                    self.target.percentile(),
+                ));
+            }
+            self.adaptive
+        }
+    }
+
+    #[test]
+    fn threshold_trace_matches_naive_calibrator_bitwise() {
+        use rand::Rng;
+        let mut fast = ThresholdCalibrator::new(SkipTarget::Best, 16);
+        let mut naive = NaiveCalibrator::new(SkipTarget::Best, 16);
+        let mut rng = rng_from_seed(21);
+        // 10k attempts cross the 4096-value capacity twice; the scale jump
+        // halfway makes the servo and the evicted values matter. Zeros and
+        // a repeated value give ties.
+        for step in 0..10_000 {
+            let sigma = if step < 5_000 { 1.0 } else { 4.0 };
+            let tm = match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.5,
+                _ => normal(&mut rng, 0.0, sigma),
+            };
+            fast.observe(tm);
+            naive.observe(tm);
+            let thr = fast.threshold();
+            let want = naive.adaptive_threshold().unwrap_or(f64::NAN);
+            assert_eq!(thr.to_bits(), want.to_bits(), "step {step}");
+            let skip = thr.is_finite() && tm.abs() > thr;
+            fast.record_decision(skip);
+            naive.record_decision(skip);
+            assert_eq!(fast.observations(), naive.history.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn nan_observation_panics_on_the_next_percentile() {
+        let mut c = ThresholdCalibrator::new(SkipTarget::Best, 4);
+        for tm in [1.0, f64::NAN, 2.0, 3.0] {
+            c.observe(tm);
+        }
+        let _ = c.threshold();
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! gradient direction**. The paper shows every threshold setting of this
 //! policy lands *below* the baseline because constructive transients get
 //! skipped too, wasting iterations and stalling convergence.
+//!
+//! The |Tm| history is a [`SortedWindow`] of the last 4096 values, so one
+//! decision costs a binary search plus a memmove of at most that many
+//! values, and each threshold read is O(1), not a copy and sort of the
+//! history.
+
+use qismet_mathkit::SortedWindow;
 
 /// Threshold policy over |Tm| with an online percentile calibration.
 ///
@@ -14,7 +21,7 @@
 pub struct OnlyTransientsPolicy {
     /// Percentile (0-100) of observed |Tm| history used as the threshold.
     pub percentile: f64,
-    history: Vec<f64>,
+    history: SortedWindow,
     /// Minimum history before the threshold activates.
     warmup: usize,
 }
@@ -32,7 +39,7 @@ impl OnlyTransientsPolicy {
         );
         OnlyTransientsPolicy {
             percentile,
-            history: Vec::new(),
+            history: SortedWindow::new(4096),
             warmup: 16,
         }
     }
@@ -55,22 +62,16 @@ impl OnlyTransientsPolicy {
         if self.history.len() < self.warmup {
             return f64::NAN;
         }
-        qismet_mathkit::percentile(&self.history, self.percentile)
+        self.history.percentile(self.percentile)
     }
 
     /// Records a transient estimate and decides whether to skip the
     /// iteration. During warmup nothing is skipped.
     pub fn observe_and_decide(&mut self, tm: f64) -> bool {
         let mag = tm.abs();
-        let skip = if self.threshold().is_finite() {
-            mag > self.threshold()
-        } else {
-            false
-        };
+        let threshold = self.threshold();
+        let skip = threshold.is_finite() && mag > threshold;
         self.history.push(mag);
-        if self.history.len() > 4096 {
-            self.history.remove(0);
-        }
         skip
     }
 
@@ -146,6 +147,54 @@ mod tests {
         // A huge transient now gets skipped, a small one passes.
         assert!(p.observe_and_decide(10.0));
         assert!(!p.observe_and_decide(0.005));
+    }
+
+    #[test]
+    fn decisions_match_naive_policy_bitwise() {
+        use rand::Rng;
+        let mut fast = OnlyTransientsPolicy::new(90.0);
+        // The policy as it was before the sorted window: a `Vec` history,
+        // `remove(0)` eviction, clone-and-sort per read.
+        let mut naive: Vec<f64> = Vec::new();
+        let mut rng = rng_from_seed(31);
+        // 10k decisions cross the 4096-value capacity twice; zeros and a
+        // repeated value give ties.
+        for step in 0..10_000 {
+            let sigma = if step < 5_000 { 1.0 } else { 4.0 };
+            let tm = match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.5,
+                _ => normal(&mut rng, 0.0, sigma),
+            };
+            let want_thr = if naive.len() < 16 {
+                f64::NAN
+            } else {
+                qismet_mathkit::percentile(&naive, 90.0)
+            };
+            assert_eq!(
+                fast.threshold().to_bits(),
+                want_thr.to_bits(),
+                "step {step}"
+            );
+            let want_skip = want_thr.is_finite() && tm.abs() > want_thr;
+            assert_eq!(fast.observe_and_decide(tm), want_skip, "step {step}");
+            naive.push(tm.abs());
+            if naive.len() > 4096 {
+                naive.remove(0);
+            }
+            assert_eq!(fast.observations(), naive.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn nan_observation_panics_on_the_next_decision() {
+        let mut p = OnlyTransientsPolicy::new(90.0);
+        for _ in 0..15 {
+            p.observe_and_decide(1.0);
+        }
+        p.observe_and_decide(f64::NAN);
+        p.observe_and_decide(1.0);
     }
 
     #[test]

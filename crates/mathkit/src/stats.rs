@@ -2,6 +2,8 @@
 //! percentiles (the `99p`/`90p`/`75p` thresholds of the paper), and the
 //! geometric mean used in Figs. 13 and 17.
 
+use std::collections::VecDeque;
+
 /// Arithmetic mean. Returns `0.0` for an empty slice.
 ///
 /// # Examples
@@ -58,12 +60,18 @@ pub fn variance_population(xs: &[f64]) -> f64 {
 /// assert_eq!(percentile(&xs, 100.0), 4.0);
 /// ```
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    if xs.is_empty() {
-        return f64::NAN;
-    }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    percentile_sorted(&sorted, p)
+}
+
+/// [`percentile`] of a slice already in ascending order, shared by
+/// [`percentile`] and [`SortedWindow`] so both give the same bits.
+fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -72,6 +80,97 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     } else {
         let frac = rank - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+/// The last `capacity` values of a stream, kept both in arrival order (for
+/// eviction) and in ascending order (for percentile reads).
+///
+/// A push costs a binary search plus a `Vec` insert (and, when full, one
+/// remove): O(log n) comparisons and an O(n) memmove. A percentile read is
+/// an O(1) interpolation, and equals [`percentile`] over the window's values
+/// bit for bit as long as the window never holds both `-0.0` and `+0.0`
+/// (those compare equal, so their order after a sort is not defined by
+/// value; the result is then equal under `==` but may differ in sign).
+///
+/// # Examples
+///
+/// ```
+/// use qismet_mathkit::{percentile, SortedWindow};
+/// let mut w = SortedWindow::new(3);
+/// for x in [4.0, 1.0, 3.0, 2.0] {
+///     w.push(x);
+/// }
+/// // 4.0 was evicted: the window is [1.0, 3.0, 2.0].
+/// assert_eq!(w.len(), 3);
+/// assert_eq!(w.percentile(50.0), percentile(&[1.0, 3.0, 2.0], 50.0));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SortedWindow {
+    arrivals: VecDeque<f64>,
+    // Same values as `arrivals`, ascending under `f64::total_cmp`, so that
+    // an evicted value is found by its exact bits. NaNs sort to the ends.
+    sorted: Vec<f64>,
+    capacity: usize,
+}
+
+impl SortedWindow {
+    /// An empty window holding at most `capacity` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "window capacity must be positive");
+        SortedWindow {
+            arrivals: VecDeque::new(),
+            sorted: Vec::new(),
+            capacity,
+        }
+    }
+
+    /// Appends `x`, evicting the oldest value once the window is full.
+    ///
+    /// NaN is accepted here; reading a percentile while it is still in the
+    /// window panics, as [`percentile`] would.
+    pub fn push(&mut self, x: f64) {
+        if self.arrivals.len() == self.capacity {
+            let old = self
+                .arrivals
+                .pop_front()
+                .expect("a full window is non-empty");
+            let at = self
+                .sorted
+                .binary_search_by(|v| v.total_cmp(&old))
+                .expect("every window value is in the sorted copy");
+            self.sorted.remove(at);
+        }
+        let at = self.sorted.partition_point(|v| v.total_cmp(&x).is_lt());
+        self.sorted.insert(at, x);
+        self.arrivals.push_back(x);
+    }
+
+    /// Number of values in the window.
+    pub fn len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// Whether the window is empty.
+    pub fn is_empty(&self) -> bool {
+        self.arrivals.is_empty()
+    }
+
+    /// Linearly interpolated percentile of the window, `p` in `[0, 100]`.
+    /// Returns `NaN` for an empty window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 100]` or the window holds a NaN.
+    pub fn percentile(&self, p: f64) -> f64 {
+        if let (Some(lo), Some(hi)) = (self.sorted.first(), self.sorted.last()) {
+            assert!(!lo.is_nan() && !hi.is_nan(), "NaN in percentile input");
+        }
+        percentile_sorted(&self.sorted, p)
     }
 }
 
@@ -201,6 +300,68 @@ mod tests {
     #[should_panic(expected = "percentile must be in")]
     fn percentile_range_checked() {
         percentile(&[1.0], 101.0);
+    }
+
+    #[test]
+    fn sorted_window_matches_percentile_bitwise() {
+        use rand::Rng;
+        const PS: [f64; 6] = [0.0, 25.0, 75.0, 90.0, 99.0, 100.0];
+        let mut rng = crate::rng_from_seed(11);
+        for capacity in [1, 2, 7, 64] {
+            let mut w = SortedWindow::new(capacity);
+            let mut naive: VecDeque<f64> = VecDeque::new();
+            // Few distinct values (duplicates, zeros) interleaved with
+            // continuous ones; 20x capacity pushes so eviction runs often.
+            let palette = [0.0, 0.5, 1.0, 1.0, 3.25];
+            for step in 0..20 * capacity + 50 {
+                let x = match rng.gen_range(0..3) {
+                    0 => palette[rng.gen_range(0..palette.len())],
+                    1 => crate::normal(&mut rng, 0.0, 1.0).abs(),
+                    _ => crate::exponential(&mut rng, 0.1),
+                };
+                w.push(x);
+                naive.push_back(x);
+                if naive.len() > capacity {
+                    naive.pop_front();
+                }
+                assert_eq!(w.len(), naive.len());
+                let values: Vec<f64> = naive.iter().copied().collect();
+                for p in PS {
+                    let (got, want) = (w.percentile(p), percentile(&values, p));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "capacity {capacity}, step {step}, p {p}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_window_starts_empty() {
+        let w = SortedWindow::new(4);
+        assert!(w.is_empty());
+        assert!(w.percentile(50.0).is_nan());
+    }
+
+    #[test]
+    fn sorted_window_forgets_an_evicted_nan() {
+        let mut w = SortedWindow::new(2);
+        w.push(f64::NAN);
+        w.push(1.0);
+        w.push(2.0);
+        assert_eq!(w.percentile(50.0), 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn sorted_window_rejects_nan_on_read() {
+        let mut w = SortedWindow::new(8);
+        w.push(1.0);
+        w.push(f64::NAN);
+        w.push(2.0);
+        w.percentile(50.0);
     }
 
     #[test]
