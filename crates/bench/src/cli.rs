@@ -7,7 +7,7 @@
 //! adding a mode. The binary maps [`CliError`] onto the typed
 //! [exit codes](EXIT_USAGE) shared with the runtime error paths.
 
-use crate::scenario::{parse_scheme, parse_threshold};
+use crate::scenario::{check_magnitude, parse_scheme, parse_threshold};
 use crate::service::machine_by_name;
 use crate::{scaled, Scheme};
 use qismet_cluster::ClusterError;
@@ -479,7 +479,10 @@ pub fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 args.thresholds = parse_list(value, "threshold percentile", parse_threshold)?;
             }
             "--magnitudes" => {
-                args.magnitudes = parse_list(value, "magnitude", |s| s.parse::<f64>().ok())?;
+                args.magnitudes = parse_list(value, "magnitude", |s| s.parse::<f64>().ok())?
+                    .into_iter()
+                    .map(|m| check_magnitude(m).map_err(usage))
+                    .collect::<Result<_, _>>()?;
             }
             "--iterations" => {
                 args.iterations = value

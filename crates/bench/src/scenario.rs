@@ -394,6 +394,18 @@ pub fn parse_threshold(s: &str) -> Option<u32> {
         .filter(|p| (1..=99).contains(p))
 }
 
+/// Checks a transient magnitude for [`CampaignGrid::magnitudes`]: a
+/// fraction of the objective magnitude, so finite and non-negative.
+pub(crate) fn check_magnitude(m: f64) -> Result<f64, String> {
+    if m.is_finite() && m >= 0.0 {
+        Ok(m)
+    } else {
+        Err(format!(
+            "invalid magnitude `{m}`: must be finite and non-negative"
+        ))
+    }
+}
+
 /// The default scaled iteration count for ad-hoc campaigns.
 pub fn default_iterations() -> usize {
     scaled(500)

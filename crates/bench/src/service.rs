@@ -28,7 +28,7 @@
 
 use crate::distributed::{channel_end, run_assignment, SessionOutcome, StatsTracker};
 use crate::report::{CampaignReport, ReportMeta, RunRecord};
-use crate::scenario::{parse_scheme, Campaign, CampaignGrid, RunSpec};
+use crate::scenario::{check_magnitude, parse_scheme, Campaign, CampaignGrid, RunSpec};
 use crate::{Scheme, SweepExecutor};
 use qismet_cluster::daemon::{JobPlan, JobPlanner};
 use qismet_cluster::queue::JobSpec;
@@ -76,7 +76,8 @@ impl GridSpec {
     ///
     /// # Errors
     ///
-    /// Reports the first unknown app id, machine name, or scheme name.
+    /// Reports the first unknown app id, machine name, or scheme name, and
+    /// the first negative or non-finite magnitude.
     pub fn to_campaign(&self) -> Result<Campaign, String> {
         let mut apps = Vec::with_capacity(self.apps.len());
         for &id in &self.apps {
@@ -99,6 +100,9 @@ impl GridSpec {
         }
         if self.iterations == 0 {
             return Err("iterations must be positive".into());
+        }
+        for &m in &self.magnitudes {
+            check_magnitude(m)?;
         }
         let grid = CampaignGrid {
             apps,
@@ -688,6 +692,28 @@ mod tests {
         bad.schemes.clear();
         bad.thresholds.clear();
         assert!(bad.to_campaign().is_err());
+    }
+
+    #[test]
+    fn grid_spec_rejects_negative_and_non_finite_magnitudes() {
+        // A bad magnitude is refused when the job is opened, not left to
+        // panic inside a worker's run.
+        for m in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = grid();
+            bad.magnitudes = vec![0.25, m];
+            let err = bad.to_campaign().unwrap_err();
+            assert!(
+                err.contains("invalid magnitude") && err.contains("finite and non-negative"),
+                "magnitude {m}: {err}"
+            );
+            let planner = CampaignPlanner {
+                report_dir: std::env::temp_dir(),
+            };
+            assert!(planner.open(&bad.to_json()).is_err(), "magnitude {m}");
+        }
+        let mut ok = grid();
+        ok.magnitudes = vec![0.0, 1.5];
+        assert!(ok.to_campaign().is_ok());
     }
 
     #[test]

@@ -57,6 +57,24 @@ fn batch_lanes_rejects_missing_value_and_cluster_modes() {
 }
 
 #[test]
+fn magnitudes_reject_negative_and_non_finite_values() {
+    // A negative magnitude used to panic inside the run (exit 101), and a
+    // NaN or infinite one slipped past the transient model's `< 0.0` check
+    // and panicked later still. All are usage errors, refused up front.
+    for bad in ["-1", "nan", "NaN", "inf", "-inf", "0.1,-0.5"] {
+        let (code, stderr) = run_campaign_cli(&["--magnitudes", bad]);
+        assert_eq!(code, 2, "--magnitudes {bad} must exit 2, stderr: {stderr}");
+        assert!(
+            stderr.contains("invalid magnitude") && stderr.contains("finite and non-negative"),
+            "--magnitudes {bad} stderr: {stderr}"
+        );
+    }
+    let (code, stderr) = run_campaign_cli(&["--magnitudes", "x"]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("invalid magnitude"), "stderr: {stderr}");
+}
+
+#[test]
 fn batch_lanes_accepts_supported_widths() {
     // Valid widths parse and the run completes end to end on a tiny grid
     // (exit 0), exercising the wired-through executor path.

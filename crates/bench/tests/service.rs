@@ -13,7 +13,7 @@ use qismet_bench::{
 };
 use qismet_cluster::{Listener, ServiceErrKind, TcpTransportListener};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qismet-service-{tag}-{}", std::process::id()));
@@ -94,6 +94,15 @@ fn spawn_worker(
     std::thread::spawn(move || qismet_bench::register_worker(&addr, &opts))
 }
 
+/// Polls `cond` every millisecond until it holds; panics after 10 s.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn daemon_serves_two_tenants_elastically_with_byte_identical_reports() {
     let (daemon, report_dir) = start_daemon("elastic");
@@ -113,10 +122,22 @@ fn daemon_serves_two_tenants_elastically_with_byte_identical_reports() {
     let fleet_view = job_status(&daemon.addr, "fleet").expect("fleet status");
     assert_eq!(fleet_view.jobs.len(), 2);
 
-    // Elastic fleet: one steady worker, one that voluntarily leaves after
-    // two batches, and one that joins only once the run is underway.
-    let steady = spawn_worker(&daemon.addr, worker("steady", None));
+    // Elastic fleet: one worker that voluntarily leaves after two batches,
+    // one steady worker, and one that joins only once the run is underway.
+    // The steady worker registers once the leaver has delivered its first
+    // result. Batches are one spec each and the leaver sends `Ready` right
+    // after that result, so it claims its second batch before a newly
+    // registering worker could drain the remaining specs; the leave then
+    // usually lands while the steady worker is serving beside it.
     let transient = spawn_worker(&daemon.addr, worker("transient", Some(2)));
+    wait_until("the leaver's first result", || {
+        job_status(&daemon.addr, "fleet")
+            .expect("fleet status")
+            .workers
+            .iter()
+            .any(|w| w.name == "transient" && w.done >= 1)
+    });
+    let steady = spawn_worker(&daemon.addr, worker("steady", None));
     std::thread::sleep(Duration::from_millis(100));
     let late = spawn_worker(&daemon.addr, worker("late", None));
 

@@ -111,8 +111,8 @@ impl TransientModel {
         if self.mean_burst_jobs < 1.0 {
             return Err("mean_burst_jobs must be >= 1".into());
         }
-        if self.burst_magnitude < 0.0 {
-            return Err("burst_magnitude must be non-negative".into());
+        if !(self.burst_magnitude.is_finite() && self.burst_magnitude >= 0.0) {
+            return Err("burst_magnitude must be finite and non-negative".into());
         }
         if self.tail_alpha <= 0.0 {
             return Err("tail_alpha must be positive".into());
@@ -346,6 +346,11 @@ mod tests {
         let mut m = TransientModel::moderate(0.1);
         m.amplitude_cap = 0.5;
         assert!(m.validate().is_err());
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
+            let mut m = TransientModel::moderate(0.1);
+            m.burst_magnitude = bad;
+            assert!(m.validate().is_err(), "burst_magnitude {bad}");
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub enum JobLayout {
 }
 
 /// One iteration's worth of objective evaluations, assembled before
-/// execution so the backend sees them as a single batch.
+/// execution so the backend sees them as a single batch (minus the points
+/// whose ideal energy the objective still remembers).
 ///
 /// # Examples
 ///

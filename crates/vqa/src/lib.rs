@@ -13,7 +13,8 @@
 //!   static-noise attenuation, shot noise, and per-job transient injection
 //!   per Section 6.2 of the paper.
 //! * [`JobRequest`] / [`JobResult`] — one iteration's evaluations assembled
-//!   and executed as a single backend batch (the Fig. 7 job structure).
+//!   into one job (the Fig. 7 job structure); the points the objective has
+//!   not evaluated recently go to the backend as a single batch.
 //! * [`run_tuning`] — the Baseline / Blocking tuning loops over any
 //!   [`qismet_optim::Proposer`].
 //! * [`AppSpec`] — the Table 1 application registry (App1-App6).

@@ -159,14 +159,18 @@ impl ExactObjective {
             .expect("parameter count")
     }
 
-    /// Evaluates many parameter vectors as **one backend batch**, in order.
-    /// Results are bitwise identical to calling [`ExactObjective::eval`]
-    /// per point (the [`Backend`] contract).
+    /// Evaluates many parameter vectors as **one backend batch**, in order
+    /// (an empty list makes no backend call). Results are bitwise identical
+    /// to calling [`ExactObjective::eval`] per point (the [`Backend`]
+    /// contract).
     ///
     /// # Panics
     ///
     /// Panics if any parameter vector is shorter than the ansatz requires.
     pub fn eval_batch(&self, params_list: &[Vec<f64>]) -> Vec<f64> {
+        if params_list.is_empty() {
+            return Vec::new();
+        }
         self.backend
             .borrow_mut()
             .evaluate_plan_batch(
@@ -175,6 +179,101 @@ impl ExactObjective {
                 &self.observable,
             )
             .expect("parameter count")
+    }
+}
+
+/// Entries in a [`NoisyObjective`]'s ideal-energy memo. One job touches at
+/// most five distinct points (a Resampling gradient's four plus the
+/// candidate; for QISMET two SPSA points, the rerun and the candidate), and
+/// the tracked parameters are used every iteration, so eight entries hold
+/// one job and the incumbent with room to spare.
+const IDEAL_MEMO_CAPACITY: usize = 8;
+
+/// `true` when two parameter vectors are the same bit for bit (so `0.0` and
+/// `-0.0` differ, and a NaN matches only its own bit pattern).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The [`IDEAL_MEMO_CAPACITY`] most recently used ideal energies of one
+/// trajectory, keyed by the parameter vector's bits. A hit refreshes its
+/// entry, so the tracked parameters (re-read every iteration by the exact
+/// series) stay resident through any run of rejected candidates; the least
+/// recently used entry is evicted.
+///
+/// A hit is bitwise what re-evaluating the point would return: plan
+/// execution is deterministic and independent of batch grouping (the
+/// [`Backend`] contract). The memo only skips the statevector run; the
+/// noise stack, the RNG draws and the eval counter are unchanged.
+#[derive(Debug, Clone, Default)]
+struct IdealMemo {
+    /// `(params, ideal)`, least recently used first.
+    entries: Vec<(Vec<f64>, f64)>,
+}
+
+impl IdealMemo {
+    fn get(&mut self, params: &[f64]) -> Option<f64> {
+        let i = self
+            .entries
+            .iter()
+            .rposition(|(k, _)| same_bits(k, params))?;
+        self.entries[i..].rotate_left(1);
+        self.entries.last().map(|&(_, v)| v)
+    }
+
+    /// Stores `params`' ideal energy as the most recently used entry,
+    /// unless the memo already holds that key (a point a batch repeated).
+    fn insert(&mut self, params: &[f64], ideal: f64) {
+        if self.entries.iter().any(|(k, _)| same_bits(k, params)) {
+            return;
+        }
+        if self.entries.len() < IDEAL_MEMO_CAPACITY {
+            self.entries.push((params.to_vec(), ideal));
+        } else {
+            // Reuse the evicted entry's key buffer.
+            self.entries.rotate_left(1);
+            let (key, value) = self.entries.last_mut().expect("memo is full");
+            key.clear();
+            key.extend_from_slice(params);
+            *value = ideal;
+        }
+    }
+
+    /// Resolves `points` against the memo: each point's ideal energy if the
+    /// memo holds it, else `None`, with the point appended to `misses`.
+    fn lookup(&mut self, points: &[Vec<f64>], misses: &mut Vec<Vec<f64>>) -> Vec<Option<f64>> {
+        points
+            .iter()
+            .map(|p| {
+                let hit = self.get(p);
+                if hit.is_none() {
+                    misses.push(p.clone());
+                }
+                hit
+            })
+            .collect()
+    }
+
+    /// Fills a [`IdealMemo::lookup`]'s gaps from `ideals` (the evaluated
+    /// misses, in order), stores them, and returns every point's ideal
+    /// energy in submission order.
+    fn settle(
+        &mut self,
+        points: &[Vec<f64>],
+        known: Vec<Option<f64>>,
+        ideals: &mut impl Iterator<Item = f64>,
+    ) -> Vec<f64> {
+        points
+            .iter()
+            .zip(known)
+            .map(|(p, hit)| {
+                hit.unwrap_or_else(|| {
+                    let ideal = ideals.next().expect("one ideal per miss");
+                    self.insert(p, ideal);
+                    ideal
+                })
+            })
+            .collect()
     }
 }
 
@@ -197,6 +296,12 @@ pub struct NoisyObjectiveConfig {
 }
 
 /// The transient-noisy objective of the paper's simulator.
+///
+/// Ideal energies go through a small per-objective memo: a QISMET rerun, a
+/// repeated job's optimizer points and the analysis-only exact series
+/// re-read the value the trajectory already computed instead of running the
+/// circuit again. Every noisy measurement still draws fresh noise and counts
+/// in [`NoisyObjective::evals`].
 ///
 /// # Examples
 ///
@@ -235,6 +340,7 @@ pub struct NoisyObjective {
     rng: StdRng,
     job: usize,
     evals: u64,
+    memo: RefCell<IdealMemo>,
 }
 
 impl NoisyObjective {
@@ -275,6 +381,7 @@ impl NoisyObjective {
             rng: rng_from_seed(cfg.seed),
             job: 0,
             evals: 0,
+            memo: RefCell::default(),
         }
     }
 
@@ -327,14 +434,29 @@ impl NoisyObjective {
     /// Noise-free expectation (for analysis plots; not available to tuners
     /// on real hardware).
     pub fn eval_exact(&self, params: &[f64]) -> f64 {
-        self.exact.eval(params)
+        let hit = self.memo.borrow_mut().get(params);
+        hit.unwrap_or_else(|| {
+            let ideal = self.exact.eval(params);
+            self.memo.borrow_mut().insert(params, ideal);
+            ideal
+        })
+    }
+
+    /// Ideal energies of `points` in order; only the points the memo lacks
+    /// reach the backend, as one batch.
+    fn ideals(&mut self, points: &[Vec<f64>]) -> Vec<f64> {
+        let mut misses = Vec::new();
+        let memo = self.memo.get_mut();
+        let known = memo.lookup(points, &mut misses);
+        let ideals = self.exact.eval_batch(&misses);
+        memo.settle(points, known, &mut ideals.into_iter())
     }
 
     /// Static-noise-only measurement (the paper's unrealistic "static only"
     /// blue line): attenuated signal plus shot noise, no transient term.
     pub fn measure_static_only(&mut self, params: &[f64]) -> f64 {
         self.evals += 1;
-        let ideal = self.exact.eval(params);
+        let ideal = self.eval_exact(params);
         let signal = self.attenuation * (ideal - self.identity_offset);
         self.identity_offset + signal + normal(&mut self.rng, 0.0, self.shot_sigma)
     }
@@ -396,7 +518,7 @@ impl NoisyObjective {
         params: &[f64],
         job: usize,
     ) -> Result<f64, ObjectiveError> {
-        let ideal = self.exact.eval(params);
+        let ideal = self.eval_exact(params);
         self.noisy_from_ideal(ideal, job)
     }
 
@@ -418,8 +540,9 @@ impl NoisyObjective {
 
     /// Executes a whole [`JobRequest`] — the unit the runners assemble per
     /// iteration (optimizer evaluations, plus the rerun circuit for
-    /// QISMET) — as **one batched backend call**, then applies the noise
-    /// stack to each result in submission order.
+    /// QISMET) — as **one batched backend call** over the points the memo
+    /// does not hold (no call when it holds them all), then applies the
+    /// noise stack to each point in submission order.
     ///
     /// The RNG is consumed in exactly the order a sequence of
     /// [`NoisyObjective::measure`] calls would consume it, so batched and
@@ -436,7 +559,7 @@ impl NoisyObjective {
     /// (evaluations before the failing point are already accounted, exactly
     /// as the sequential path would have).
     pub fn execute(&mut self, request: &JobRequest) -> Result<JobResult, ObjectiveError> {
-        let ideals = self.exact.eval_batch(request.points());
+        let ideals = self.ideals(request.points());
         self.apply_noise_stack(ideals, request)
     }
 
@@ -462,16 +585,18 @@ impl NoisyObjective {
 }
 
 /// Executes one [`JobRequest`] per independent trajectory (lane) as a
-/// single cross-lane batched backend call: every lane's ideal evaluations
-/// are concatenated into one `evaluate_plan_batch` on lane 0's backend —
-/// where the lane-batched statevector engine runs them in lockstep — and
-/// each lane's noise stack is then applied in lane order.
+/// single cross-lane batched backend call: each lane resolves its points
+/// against its own ideal-energy memo, the misses of every lane are
+/// concatenated into one `evaluate_plan_batch` on lane 0's backend — where
+/// the lane-batched statevector engine runs them in lockstep — and each
+/// lane's noise stack is then applied in lane order.
 ///
 /// Per-lane results, RNG streams, eval counters, and job counters are
 /// **bitwise identical** to calling [`NoisyObjective::execute`] on each
 /// lane sequentially: ideal evaluations are RNG-free and grouping-invariant
-/// (the [`Backend`] batch contract), and each lane's noise application
-/// consumes only that lane's RNG in unchanged order.
+/// (the [`Backend`] batch contract), each lane's memo sees the same lookups
+/// in the same order, and each lane's noise application consumes only that
+/// lane's RNG in unchanged order.
 ///
 /// All lanes must share one ansatz/Hamiltonian structure (independent
 /// trajectories of the same scenario — each lane keeps its own angles,
@@ -505,16 +630,16 @@ pub fn execute_lockstep(
             "lane parameter count"
         );
     }
-    let all_points: Vec<Vec<f64>> = requests
-        .iter()
-        .flat_map(|r| r.points().iter().cloned())
+    let mut misses = Vec::new();
+    let lookups: Vec<Vec<Option<f64>>> = objectives
+        .iter_mut()
+        .zip(requests)
+        .map(|(obj, req)| obj.memo.get_mut().lookup(req.points(), &mut misses))
         .collect();
-    let ideals = objectives[0].exact.eval_batch(&all_points);
+    let mut ideals = objectives[0].exact.eval_batch(&misses).into_iter();
     let mut out = Vec::with_capacity(objectives.len());
-    let mut off = 0usize;
-    for (obj, req) in objectives.iter_mut().zip(requests) {
-        let lane_ideals = ideals[off..off + req.len()].to_vec();
-        off += req.len();
+    for ((obj, req), known) in objectives.iter_mut().zip(requests).zip(lookups) {
+        let lane_ideals = obj.memo.get_mut().settle(req.points(), known, &mut ideals);
         out.push(obj.apply_noise_stack(lane_ideals, req)?);
     }
     Ok(out)
@@ -525,8 +650,18 @@ mod tests {
     use super::*;
     use crate::ansatz::{AnsatzKind, Entanglement};
     use crate::tfim::Tfim;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn setup(trace: TransientTrace, seed: u64) -> (NoisyObjective, f64) {
+        setup_on(trace, seed, Box::new(CachedStatevectorBackend::new()))
+    }
+
+    fn setup_on(
+        trace: TransientTrace,
+        seed: u64,
+        backend: Box<dyn Backend>,
+    ) -> (NoisyObjective, f64) {
         let tfim = Tfim::paper_6q();
         let h = tfim.hamiltonian();
         let gs = tfim.exact_ground_energy().unwrap();
@@ -539,7 +674,7 @@ mod tests {
             within_job_spread: 0.25,
             seed,
         };
-        (NoisyObjective::new(ansatz, h, cfg), gs)
+        (NoisyObjective::with_backend(ansatz, h, cfg, backend), gs)
     }
 
     #[test]
@@ -782,6 +917,316 @@ mod tests {
             cloned.eval(&params).to_bits(),
             cached.eval(&params).to_bits()
         );
+    }
+
+    /// Forwards to the cached statevector backend and counts the parameter
+    /// points that reach it.
+    #[derive(Clone)]
+    struct CountingBackend {
+        inner: CachedStatevectorBackend,
+        points: Arc<AtomicUsize>,
+    }
+
+    impl CountingBackend {
+        fn count(&self, n: usize) {
+            self.points.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    impl Backend for CountingBackend {
+        fn evaluate(
+            &mut self,
+            circuit: &qismet_qsim::Circuit,
+            observable: &PauliSum,
+        ) -> Result<f64, qismet_qsim::GateError> {
+            self.count(1);
+            self.inner.evaluate(circuit, observable)
+        }
+
+        fn evaluate_plan(
+            &mut self,
+            plan: &mut qismet_qsim::CompiledCircuit,
+            params: &[f64],
+            observable: &CompiledObservable,
+        ) -> Result<f64, qismet_qsim::GateError> {
+            self.count(1);
+            self.inner.evaluate_plan(plan, params, observable)
+        }
+
+        fn evaluate_plan_batch(
+            &mut self,
+            plan: &mut qismet_qsim::CompiledCircuit,
+            points: &[Vec<f64>],
+            observable: &CompiledObservable,
+        ) -> Result<Vec<f64>, qismet_qsim::GateError> {
+            self.count(points.len());
+            self.inner.evaluate_plan_batch(plan, points, observable)
+        }
+
+        fn clone_box(&self) -> Box<dyn Backend> {
+            Box::new(self.clone())
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// A noisy objective on a counting backend, the counter, and a fresh
+    /// memo-free exact evaluator on the same ansatz and Hamiltonian.
+    fn counted(
+        trace: TransientTrace,
+        seed: u64,
+    ) -> (NoisyObjective, Arc<AtomicUsize>, ExactObjective) {
+        let points = Arc::new(AtomicUsize::new(0));
+        let backend = CountingBackend {
+            inner: CachedStatevectorBackend::new(),
+            points: Arc::clone(&points),
+        };
+        let (obj, _) = setup_on(trace, seed, Box::new(backend));
+        let fresh = ExactObjective::new(
+            obj.exact().ansatz().clone(),
+            obj.exact().hamiltonian().clone(),
+        );
+        (obj, points, fresh)
+    }
+
+    fn backend_points(counter: &AtomicUsize) -> usize {
+        counter.load(Ordering::Relaxed)
+    }
+
+    /// The memo-free oracle of [`NoisyObjective::execute`]: a fresh exact
+    /// evaluation per point, then the same noise stack on a twin objective.
+    fn oracle_execute(
+        twin: &mut NoisyObjective,
+        fresh: &ExactObjective,
+        req: &JobRequest,
+    ) -> Vec<f64> {
+        req.points()
+            .iter()
+            .map(|p| {
+                let job = twin.job();
+                let v = twin.noisy_from_ideal(fresh.eval(p), job).unwrap();
+                if req.layout() == JobLayout::JobPerEval {
+                    twin.advance_job();
+                }
+                v
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} point {i}: {x} vs {y}");
+        }
+    }
+
+    fn trace_for_memo() -> TransientTrace {
+        TransientTrace::from_values(vec![0.0, 0.3, -0.1, 0.5, 0.0, 0.2, 0.1, 0.4, 0.0, 0.25])
+    }
+
+    #[test]
+    fn memo_execute_mixes_hits_and_misses_bitwise() {
+        let (mut obj, counter, fresh) = counted(trace_for_memo(), 21);
+        let (mut twin, _) = setup(trace_for_memo(), 21);
+        let p: Vec<Vec<f64>> = (0..4)
+            .map(|k| fresh.ansatz().initial_params(60 + k))
+            .collect();
+
+        // A point repeated within one batch misses each time it appears.
+        let req = JobRequest::shared_job(vec![p[0].clone(), p[1].clone(), p[0].clone()])
+            .with_rerun(p[1].clone());
+        let got = obj.execute(&req).unwrap();
+        assert_bits_eq(
+            got.values(),
+            &oracle_execute(&mut twin, &fresh, &req),
+            "batch 1",
+        );
+        assert_eq!(backend_points(&counter), 4);
+        assert_eq!(obj.memo.borrow().entries.len(), 2);
+        obj.advance_job();
+        twin.advance_job();
+
+        // A job-per-eval batch mixing memo hits (p1, p0) and misses (p2,
+        // p3, p2).
+        let req = JobRequest::job_per_eval(vec![
+            p[1].clone(),
+            p[2].clone(),
+            p[0].clone(),
+            p[3].clone(),
+            p[2].clone(),
+        ]);
+        let got = obj.execute(&req).unwrap();
+        assert_bits_eq(
+            got.values(),
+            &oracle_execute(&mut twin, &fresh, &req),
+            "batch 2",
+        );
+        assert_eq!(backend_points(&counter), 7);
+
+        // An all-hit batch never reaches the backend.
+        let req = JobRequest::shared_job(p.clone());
+        let got = obj.execute(&req).unwrap();
+        assert_bits_eq(
+            got.values(),
+            &oracle_execute(&mut twin, &fresh, &req),
+            "batch 3",
+        );
+        assert_eq!(backend_points(&counter), 7);
+
+        // The single-point paths share the memo.
+        for (k, q) in p.iter().enumerate() {
+            assert_eq!(
+                obj.eval_exact(q).to_bits(),
+                fresh.eval(q).to_bits(),
+                "exact {k}"
+            );
+        }
+        let job = obj.job();
+        let a = obj.measure_at_job(&p[3], job);
+        let b = twin.noisy_from_ideal(fresh.eval(&p[3]), job).unwrap();
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(backend_points(&counter), 7);
+        assert_eq!(obj.evals(), twin.evals());
+        assert_eq!(obj.job(), twin.job());
+        assert_eq!(obj.evals(), 4 + 5 + 4 + 1);
+    }
+
+    /// Whether the memo holds `q`, without refreshing it.
+    fn held(obj: &NoisyObjective, q: &[f64]) -> bool {
+        obj.memo
+            .borrow()
+            .entries
+            .iter()
+            .any(|(k, _)| same_bits(k, q))
+    }
+
+    #[test]
+    fn memo_keys_are_bitwise() {
+        let (obj, counter, fresh) = counted(TransientTrace::zeros(4), 22);
+        let mut pos = fresh.ansatz().initial_params(70);
+        pos[0] = 0.0;
+        let mut neg = pos.clone();
+        neg[0] = -0.0;
+        assert_eq!(obj.eval_exact(&pos).to_bits(), fresh.eval(&pos).to_bits());
+        assert_eq!(obj.eval_exact(&neg).to_bits(), fresh.eval(&neg).to_bits());
+        // 0.0 == -0.0 numerically, but they are two keys.
+        assert_eq!(backend_points(&counter), 2);
+        assert_eq!(obj.memo.borrow().entries.len(), 2);
+        // A vector of another length is another key too.
+        let longer: Vec<f64> = pos.iter().copied().chain([1.0]).collect();
+        assert!(!held(&obj, &longer));
+    }
+
+    #[test]
+    fn memo_evicts_the_least_recently_used_entry_past_capacity() {
+        let (obj, counter, fresh) = counted(TransientTrace::zeros(4), 23);
+        let p: Vec<Vec<f64>> = (0..=IDEAL_MEMO_CAPACITY as u64 + 1)
+            .map(|k| fresh.ansatz().initial_params(80 + k))
+            .collect();
+        for q in &p[..IDEAL_MEMO_CAPACITY] {
+            obj.eval_exact(q);
+        }
+        // A hit refreshes p0, so the next miss evicts p1 instead.
+        assert_eq!(obj.eval_exact(&p[0]).to_bits(), fresh.eval(&p[0]).to_bits());
+        assert_eq!(backend_points(&counter), IDEAL_MEMO_CAPACITY);
+        obj.eval_exact(&p[IDEAL_MEMO_CAPACITY]);
+        assert!(held(&obj, &p[0]));
+        assert!(!held(&obj, &p[1]));
+        assert_eq!(obj.memo.borrow().entries.len(), IDEAL_MEMO_CAPACITY);
+        // Re-evaluating the evicted point goes back to the backend, evicts
+        // the next least recently used (p2), and returns the same bits.
+        assert_eq!(obj.eval_exact(&p[1]).to_bits(), fresh.eval(&p[1]).to_bits());
+        assert_eq!(backend_points(&counter), IDEAL_MEMO_CAPACITY + 2);
+        assert!(!held(&obj, &p[2]));
+        for q in &p[3..=IDEAL_MEMO_CAPACITY] {
+            assert!(held(&obj, q));
+            assert_eq!(obj.eval_exact(q).to_bits(), fresh.eval(q).to_bits());
+        }
+        assert_eq!(backend_points(&counter), IDEAL_MEMO_CAPACITY + 2);
+
+        // One batch with more misses than the memo holds still returns
+        // every point's own value.
+        let (mut big, counter, _) = counted(TransientTrace::zeros(4), 24);
+        let (mut twin, _) = setup(TransientTrace::zeros(4), 24);
+        let mut points = p.clone();
+        points.extend(
+            p.iter()
+                .map(|q| q.iter().map(|x| x + 0.5).collect::<Vec<f64>>()),
+        );
+        let req = JobRequest::shared_job(points.clone());
+        let got = big.execute(&req).unwrap();
+        assert_bits_eq(
+            got.values(),
+            &oracle_execute(&mut twin, &fresh, &req),
+            "oversized batch",
+        );
+        assert_eq!(backend_points(&counter), points.len());
+    }
+
+    #[test]
+    fn memo_lockstep_lanes_with_overlapping_points_match_the_oracle() {
+        let seeds = [31u64, 32, 33];
+        let mut lanes = Vec::new();
+        let mut twins = Vec::new();
+        for &s in &seeds {
+            let (obj, counter, _) = counted(trace_for_memo(), s);
+            lanes.push((obj, counter));
+            twins.push(setup(trace_for_memo(), s).0);
+        }
+        let fresh = ExactObjective::new(
+            lanes[0].0.exact().ansatz().clone(),
+            lanes[0].0.exact().hamiltonian().clone(),
+        );
+        let p: Vec<Vec<f64>> = (0..4)
+            .map(|k| fresh.ansatz().initial_params(90 + k))
+            .collect();
+        // Warm lane 1's memo with p2 (one backend point on lane 1's own
+        // backend, outside the lockstep batch).
+        lanes[1].0.eval_exact(&p[2]);
+        twins[1].eval_exact(&p[2]);
+
+        let rounds = [
+            vec![
+                JobRequest::shared_job(vec![p[0].clone(), p[1].clone()]).with_rerun(p[0].clone()),
+                JobRequest::job_per_eval(vec![p[1].clone(), p[2].clone(), p[1].clone()]),
+                JobRequest::shared_job(vec![p[0].clone()]),
+            ],
+            vec![
+                JobRequest::job_per_eval(vec![p[1].clone(), p[3].clone()]),
+                JobRequest::shared_job(vec![p[2].clone(), p[1].clone()]),
+                JobRequest::job_per_eval(vec![p[3].clone(), p[0].clone()]),
+            ],
+        ];
+        // Lane-0 backend points per round, each lane's misses (nothing is
+        // shared across lanes): round 0 lane 0 [p0, p1, p0], lane 1 [p1,
+        // p1], lane 2 [p0]; round 1 lane 0 [p3], lane 2 [p3].
+        let expected_lead_points = [6, 2];
+        let mut lead_total = 0;
+        for (round, reqs) in rounds.iter().enumerate() {
+            let mut objs: Vec<&mut NoisyObjective> = lanes.iter_mut().map(|(o, _)| o).collect();
+            let results = execute_lockstep(&mut objs, reqs).unwrap();
+            for (l, (res, req)) in results.iter().zip(reqs).enumerate() {
+                let want = oracle_execute(&mut twins[l], &fresh, req);
+                assert_bits_eq(res.values(), &want, &format!("round {round} lane {l}"));
+                assert_eq!(lanes[l].0.evals(), twins[l].evals());
+                assert_eq!(lanes[l].0.job(), twins[l].job());
+            }
+            lead_total += expected_lead_points[round];
+            assert_eq!(backend_points(&lanes[0].1), lead_total, "round {round}");
+        }
+        assert_eq!(backend_points(&lanes[1].1), 1);
+        assert_eq!(backend_points(&lanes[2].1), 0);
+        for (l, (obj, _)) in lanes.iter().enumerate() {
+            for q in &p {
+                assert_eq!(
+                    obj.eval_exact(q).to_bits(),
+                    fresh.eval(q).to_bits(),
+                    "lane {l}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -176,10 +176,11 @@ pub struct TuningLane<'a> {
 /// trajectories in **lockstep**: the per-lane control flow is exactly
 /// [`run_tuning`]'s, but every evaluation site — the initial incumbent
 /// measurement, each iteration's gradient batch, the candidate
-/// measurement, rejected lanes' fresh re-measurements, and the exact
-/// analysis series — executes all lanes as one cross-lane batched backend
-/// call, which the lane-batched statevector engine evaluates in one SoA
-/// state.
+/// measurement, and rejected lanes' fresh re-measurements — executes all
+/// lanes as one cross-lane batched backend call, which the lane-batched
+/// statevector engine evaluates in one SoA state. The exact analysis series
+/// reads each lane's own objective: its tracked parameters were measured
+/// that iteration, so the ideal-energy memo answers without the backend.
 ///
 /// Each lane's [`RunRecord`] is **bitwise identical** to running that lane
 /// alone through [`run_tuning`]: per-lane RNG, job, and optimizer state
@@ -332,11 +333,10 @@ pub fn run_tuning_lockstep(
             }
         }
 
-        // Exact analysis series: RNG-free, so one cross-lane batch through
-        // lane 0's exact evaluator is bitwise identical to per-lane calls.
-        let exact_vals = lanes[0].objective.exact().eval_batch(&theta);
+        // Exact analysis series: each lane's tracked parameters were just
+        // measured, so its own objective's memo already holds the value.
         for l in 0..b {
-            exact[l].push(exact_vals[l]);
+            exact[l].push(lanes[l].objective.eval_exact(&theta[l]));
             lanes[l].proposer.advance();
         }
     }
